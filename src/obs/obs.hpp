@@ -22,10 +22,10 @@
 //
 // When observability is off (the default) every record call is a
 // relaxed atomic load and a predicted-not-taken branch, so instrumented
-// hot paths stay within noise of the uninstrumented code (enforced by
-// `perf_micro --obs-gate`). Enabling it never changes any pipeline
-// result: instruments only accumulate, they are never read back by the
-// algorithms.
+// hot paths stay within noise of the uninstrumented code (perfbench/
+// README.md times this shipped configuration). Enabling it never
+// changes any pipeline result: instruments only accumulate, they are
+// never read back by the algorithms (locked by obs_differential_test).
 #pragma once
 
 #include <atomic>

@@ -384,6 +384,7 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
   double mu_t_rel = config_.mu_t_rel_initial;
   std::size_t total_iterations = 0;
   std::size_t total_backtracks = 0;
+  std::size_t rounds_entered = 0;
   bool last_round_converged = false;
   double last_pg_norm = 0.0;
   bool nonfinite = false;
@@ -400,9 +401,10 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
   };
 
   for (std::size_t round = 0; round < config_.continuation_rounds; ++round) {
+    ++rounds_entered;
     const std::size_t round_first_iteration = total_iterations;
     const double scale = model.phi(exp_all(x), p);
-    if (config_.finite_guards && !std::isfinite(scale)) {
+    if (!std::isfinite(scale)) {
       nonfinite = true;
       break;
     }
@@ -412,7 +414,7 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
     double step = config_.initial_step;
     last_round_converged = false;
 
-    if (config_.finite_guards && !std::isfinite(f)) {
+    if (!std::isfinite(f)) {
       nonfinite = true;
       break;
     }
@@ -443,7 +445,7 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
       }
       last_pg_norm = pg_norm;
       if (record) solver_metrics().pg_norm.observe_unchecked(pg_norm);
-      if (config_.finite_guards && !std::isfinite(pg_norm)) {
+      if (!std::isfinite(pg_norm)) {
         nonfinite = true;
         break;
       }
@@ -498,7 +500,7 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
     solver_metrics().starts.add_unchecked(1);
     solver_metrics().iterations.add_unchecked(total_iterations);
     solver_metrics().backtracks.add_unchecked(total_backtracks);
-    solver_metrics().rounds.add_unchecked(config_.continuation_rounds);
+    solver_metrics().rounds.add_unchecked(rounds_entered);
     if (nonfinite) solver_metrics().nonfinite_events.add_unchecked(1);
     if (budget_hit) solver_metrics().budget_exhausted.add_unchecked(1);
   }
@@ -506,9 +508,9 @@ AllocationResult ConvexAllocator::descend(const cost::CostModel& model,
   AllocationResult result = finish_result(model, p, exp_all(x));
   for (double& a : result.allocation) a = std::clamp(a, 1.0, p);
   result.iterations = total_iterations;
-  result.continuation_rounds = config_.continuation_rounds;
+  result.continuation_rounds = rounds_entered;
   result.final_gradient_norm = last_pg_norm;
-  if (config_.finite_guards && !result.finite()) nonfinite = true;
+  if (!result.finite()) nonfinite = true;
   if (nonfinite) {
     result.status = SolveStatus::kNonFinite;
   } else if (last_round_converged) {

@@ -50,6 +50,8 @@ struct AllocationResult {
   double average_time = 0.0;   ///< Exact A_p.
   double critical_path = 0.0;  ///< Exact C_p.
   std::size_t iterations = 0;  ///< Total inner gradient steps.
+  /// Continuation rounds entered: fewer than configured when the
+  /// descent stopped early on the work-unit budget or a non-finite value.
   std::size_t continuation_rounds = 0;
   bool converged = false;      ///< status == kConverged (kept in sync).
   double final_gradient_norm = 0.0;
@@ -86,14 +88,6 @@ struct ConvexAllocatorConfig {
   /// reproduces the single-start solver exactly.
   std::size_t num_starts = 1;
   std::uint64_t start_seed = 0x51a7c0de1994ULL;
-
-  /// Finite guards (DESIGN §10): bail out of a descent as soon as the
-  /// objective scale, smoothed objective, or projected-gradient norm
-  /// goes NaN/Inf, marking the result SolveStatus::kNonFinite instead
-  /// of iterating on garbage. The checks compare values only — a run
-  /// whose intermediates are all finite is byte-identical with guards
-  /// on or off. Off exists solely for the perf guard-gate comparison.
-  bool finite_guards = true;
 
   /// Deterministic work-unit budget: maximum inner iterations per
   /// descent (across all continuation rounds), 0 = unlimited. Counted

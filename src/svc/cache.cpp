@@ -118,7 +118,6 @@ void hash_policy_fields(Hasher& h, const core::PipelineConfig& c) {
       .size(s.max_backtracks)
       .size(s.num_starts)
       .u64(s.start_seed)
-      .boolean(s.finite_guards)
       .size(s.work_unit_budget);
 
   h.boolean(c.psa.apply_rounding).boolean(c.psa.apply_bounding);

@@ -199,6 +199,36 @@ TEST(CancelSweep, EveryBoundaryUnwindsToConsistentPartialReport) {
   EXPECT_EQ(counter.ticks(), roomy.ticks());
 }
 
+TEST(CancelSweep, LiveUnlimitedTokenIsBitIdenticalToNullToken) {
+  // The checkpoints are checks, not behaviour: a live token that never
+  // trips must leave every pipeline output bit-identical to the
+  // token-free path, for the single-start descent and for the
+  // Region-accounted multi-start one.
+  const mdg::Mdg graph = core::complex_matmul_mdg(16);
+  for (const std::size_t starts : {1u, 4u}) {
+    core::PipelineConfig config = sweep_config();
+    config.solver.num_starts = starts;
+    const core::PipelineReport plain =
+        core::Compiler(config).compile_and_run(graph);
+
+    CancelToken token;  // deadline 0, no stall limit: never trips.
+    config.cancel = &token;
+    const core::PipelineReport live =
+        core::Compiler(config).compile_and_run(graph);
+
+    // The token was charged, so the comparison is not vacuous.
+    EXPECT_GT(token.ticks(), 0u) << "starts=" << starts;
+    EXPECT_FALSE(live.cancelled);
+    EXPECT_EQ(live.allocation.allocation, plain.allocation.allocation)
+        << "starts=" << starts;
+    EXPECT_EQ(live.allocation.phi, plain.allocation.phi);
+    ASSERT_TRUE(plain.psa.has_value());
+    ASSERT_TRUE(live.psa.has_value());
+    EXPECT_EQ(live.psa->finish_time, plain.psa->finish_time);
+    EXPECT_EQ(live.mpmd.simulated, plain.mpmd.simulated);
+  }
+}
+
 TEST(CancelSweep, ParallelMultiStartCancelsDeterministically) {
   // With multi-start descent the trip tick must not depend on the
   // thread count: same deadline, 1 vs 4 threads, identical partials.

@@ -336,6 +336,9 @@ TEST(Budget, ExhaustionIsClassifiedAndDeterministic) {
   EXPECT_EQ(a.status, solver::SolveStatus::kBudgetExhausted);
   EXPECT_FALSE(a.converged);
   EXPECT_LE(a.iterations, config.work_unit_budget);
+  // The budget binds inside round 0, so only that round was entered;
+  // the configured round count must not be reported.
+  EXPECT_EQ(a.continuation_rounds, 1u) << a.summary();
   EXPECT_TRUE(a.finite());  // best-so-far point is still usable
   // Bit-identical across runs: the budget counts iterations, not time.
   const auto b = solver::ConvexAllocator(config).allocate(model, 16.0);

@@ -372,10 +372,11 @@ TEST(SolverRegression, FlatObjectiveNeverProducesNaN) {
   }
 }
 
-TEST(SolverRegression, FlatObjectiveStableWithGuardsOff) {
+TEST(SolverRegression, FlatObjectiveStaysFiniteWithoutTrippingTheGuard) {
   // The gscale floor is part of the descent arithmetic, not the guard
-  // layer: even with finite_guards disabled a flat objective must not
-  // poison the iterates.
+  // layer: on a zero-cost flat objective the iterates must stay finite
+  // on their own. A kNonFinite status would mean the finite guard
+  // caught a poisoned iterate that the floor should have prevented.
   mdg::Mdg graph;
   const auto a = graph.add_synthetic("a", 0.0, 0.0);
   const auto b = graph.add_synthetic("b", 0.0, 0.0);
@@ -386,10 +387,10 @@ TEST(SolverRegression, FlatObjectiveStableWithGuardsOff) {
       zero_machine.t_pr = zero_machine.t_n = 0.0;
   const cost::CostModel model(graph, zero_machine,
                               cost::KernelCostTable{});
-  solver::ConvexAllocatorConfig config;
-  config.finite_guards = false;
-  const auto result = solver::ConvexAllocator(config).allocate(model, 8.0);
+  const auto result = solver::ConvexAllocator{}.allocate(model, 8.0);
   EXPECT_TRUE(result.finite()) << result.summary();
+  EXPECT_NE(result.status, solver::SolveStatus::kNonFinite)
+      << result.summary();
 }
 
 // ---- fuzz-corpus replay ---------------------------------------------------------
